@@ -10,6 +10,7 @@ package repro
 
 import (
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -253,6 +254,43 @@ func BenchmarkEndToEndPRABatched(b *testing.B) {
 		if len(res.Records) != 300 {
 			b.Fatalf("records = %d", len(res.Records))
 		}
+	}
+}
+
+// BenchmarkContended measures one replication of the contended queue —
+// Wmr at 1 s inter-arrival under FPSMA/PWA with the busy PWA background —
+// at 600, 1200 and 2400 jobs. place_tries/op is the exact number of
+// placement attempts per replication (fixed by the paper's rescan-on-
+// release semantics, §IV-A); ns/place_try is the wall time per attempt,
+// which the O(1) per-site growth and shrink totals keep flat as the queue
+// deepens.
+func BenchmarkContended(b *testing.B) {
+	for _, jobs := range []int{600, 1200, 2400} {
+		b.Run(strconv.Itoa(jobs), func(b *testing.B) {
+			wl := workload.Wmr(101)
+			wl.Name, wl.Jobs, wl.InterArrival = "Wmr-1s", jobs, 1
+			bg := experiment.PWABackground()
+			prep, err := experiment.Prepare(experiment.Config{
+				Workload:   wl,
+				Policy:     "FPSMA",
+				Approach:   "PWA",
+				Background: &bg,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			tries := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := prep.RunOnce(101)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tries += res.PlaceTries
+			}
+			b.ReportMetric(float64(tries)/float64(b.N), "place_tries/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tries), "ns/place_try")
+		})
 	}
 }
 

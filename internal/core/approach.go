@@ -76,26 +76,10 @@ func (PWA) OnProcessorsAvailable(m *Manager) {
 // with every running malleable job at its minimum, the running jobs are
 // grown instead (§V-B) and scanning continues.
 func (PWA) OnPlacementBlocked(m *Manager, j *koala.Job) bool {
-	need := j.Spec.TotalSize()
 	snap := m.sched.KIS().Last()
-	// Choose the cluster where the fewest shrunk processors make the job
-	// fit: maximise idle+shrinkable headroom, then minimise shrink amount.
-	best := -1
-	bestShort := 0
-	for i := range m.sched.Sites() {
-		idle := snap.IdleAt(i) - m.sched.PendingClaimsAt(i) - m.inflightGrowthAt(i)
-		short := need - idle
-		if short <= 0 {
-			// It already fits; the placement failure was transient (e.g.
-			// in-flight growth) — no shrinking needed.
-			return false
-		}
-		if m.shrinkableAt(i) >= short {
-			if best < 0 || short < bestShort {
-				best = i
-				bestShort = short
-			}
-		}
+	best, short, fits := m.shrinkTarget(snap, j.Spec.TotalSize())
+	if fits {
+		return false
 	}
 	if best < 0 {
 		// Even shrinking everything to minimum sizes cannot host the job:
@@ -103,7 +87,7 @@ func (PWA) OnPlacementBlocked(m *Manager, j *koala.Job) bool {
 		m.growAll(snap)
 		return false
 	}
-	m.shrinkSiteAt(best, bestShort)
+	m.shrinkSiteAt(best, short)
 	return true
 }
 

@@ -117,19 +117,7 @@ func (m *Manager) BlockedEvents() uint64 { return m.blockedEvents }
 // Reserved implements koala.Hooks: processors granted to growing jobs whose
 // stub submissions are still in flight. The scheduler subtracts them from
 // every placement view.
-func (m *Manager) Reserved(siteIndex int) int { return m.inflightGrowthAt(siteIndex) }
-
-// inflightGrowthAt sums planned-but-not-yet-held processors over the
-// running malleable jobs of the site with dense index i.
-func (m *Manager) inflightGrowthAt(i int) int {
-	total := 0
-	for _, j := range m.sched.RunningMalleableJobsAt(i) {
-		if d := j.PlannedProcs() - j.HeldProcs(); d > 0 {
-			total += d
-		}
-	}
-	return total
-}
+func (m *Manager) Reserved(siteIndex int) int { return m.sched.InflightGrowthAt(siteIndex) }
 
 // availableForGrowth computes how many processors of site i the manager may
 // hand to malleable jobs right now: the snapshot's idle count minus claims
@@ -137,7 +125,7 @@ func (m *Manager) inflightGrowthAt(i int) int {
 // local-user reserve.
 func (m *Manager) availableForGrowth(snap koala.Snapshot, i int) int {
 	return snap.IdleAt(i) - m.sched.PendingClaimsAt(i) -
-		m.inflightGrowthAt(i) - m.cfg.GrowthReserve
+		m.sched.InflightGrowthAt(i) - m.cfg.GrowthReserve
 }
 
 // totalMsgs sums the grow and shrink messages received so far by the
@@ -234,14 +222,25 @@ func (m *Manager) shrinkSiteAt(i, need int) int {
 	return released
 }
 
-// shrinkableAt returns how many processors the malleable jobs of site i
-// could still give back (planned minus minimum, summed).
-func (m *Manager) shrinkableAt(i int) int {
-	total := 0
-	for _, j := range m.sched.RunningMalleableJobsAt(i) {
-		if slack := j.PlannedProcs() - j.MinProcs(); slack > 0 {
-			total += slack
+// shrinkTarget picks the site where mandatory shrinks make a blocked job
+// of the given size fit: among the sites whose running malleable jobs
+// could still give back the shortfall, the one with the smallest
+// shortfall (the first such site on ties). fits reports that some site
+// already has room once claims and in-flight growth are discounted — the
+// placement failure was transient and nothing needs shrinking. best is -1
+// when no site can host the job even with every malleable job at its
+// minimum.
+func (m *Manager) shrinkTarget(snap koala.Snapshot, need int) (best, short int, fits bool) {
+	best = -1
+	for i := range m.sched.Sites() {
+		idle := snap.IdleAt(i) - m.sched.PendingClaimsAt(i) - m.sched.InflightGrowthAt(i)
+		s := need - idle
+		if s <= 0 {
+			return -1, 0, true
+		}
+		if m.sched.ShrinkableAt(i) >= s && (best < 0 || s < short) {
+			best, short = i, s
 		}
 	}
-	return total
+	return best, short, false
 }

@@ -83,30 +83,18 @@ func (PWAVoluntary) OnProcessorsAvailable(m *Manager) {
 // OnPlacementBlocked implements Approach: voluntary first, mandatory for
 // the remainder.
 func (PWAVoluntary) OnPlacementBlocked(m *Manager, j *koala.Job) bool {
-	need := j.Spec.TotalSize()
 	snap := m.sched.KIS().Last()
-	best := -1
-	bestShort := 0
-	for i := range m.sched.Sites() {
-		idle := snap.IdleAt(i) - m.sched.PendingClaimsAt(i) - m.inflightGrowthAt(i)
-		short := need - idle
-		if short <= 0 {
-			return false
-		}
-		if m.shrinkableAt(i) >= short {
-			if best < 0 || short < bestShort {
-				best = i
-				bestShort = short
-			}
-		}
+	best, short, fits := m.shrinkTarget(snap, j.Spec.TotalSize())
+	if fits {
+		return false
 	}
 	if best < 0 {
 		m.growAll(snap)
 		return false
 	}
-	released := m.voluntaryShrinkSiteAt(best, bestShort)
-	if released < bestShort {
-		m.shrinkSiteAt(best, bestShort-released)
+	released := m.voluntaryShrinkSiteAt(best, short)
+	if released < short {
+		m.shrinkSiteAt(best, short-released)
 	}
 	return true
 }

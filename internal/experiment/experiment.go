@@ -139,6 +139,9 @@ type RunResult struct {
 	ShrinkOps   *stats.TimeSeries
 	Makespan    float64
 	TotalOps    float64
+	// PlaceTries counts the scheduler's placement attempts over all jobs
+	// (§IV-A), a deterministic measure of the run's queue-scan work.
+	PlaceTries int
 }
 
 // Result pools the runs of one experiment point.

@@ -159,6 +159,9 @@ func (p *Prepared) RunOnce(seed uint64) (*RunResult, error) {
 		Utilization: col.Utilization(),
 		Makespan:    lastEnd(col.Records()),
 	}
+	for _, j := range sys.Scheduler.Jobs() {
+		res.PlaceTries += j.Tries()
+	}
 	if sys.Manager != nil {
 		res.GrowOps = sys.Manager.GrowOps().Series()
 		res.ShrinkOps = sys.Manager.ShrinkOps().Series()

@@ -140,8 +140,13 @@ type Job struct {
 	// the scheduler's claims pool when the job starts.
 	claims []int
 
-	componentsRunning  int
-	componentsFinished int
+	// runSite is 1 + the dense index of the site whose running-malleable
+	// index holds the job, or 0 while it is not indexed. inflight and
+	// shrinkable are the job's current contributions to that site's
+	// running totals (see Scheduler.InflightGrowthAt/ShrinkableAt).
+	runSite    int32
+	inflight   int32
+	shrinkable int32
 }
 
 // JobStarted implements runner.Lifecycle: every runner of the job reports
@@ -150,6 +155,31 @@ func (j *Job) JobStarted() { j.sched.jobStarted(j) }
 
 // JobFinished implements runner.Lifecycle.
 func (j *Job) JobFinished() { j.sched.jobFinished(j) }
+
+// PlanChanged implements runner.PlanObserver: the job's malleable runner
+// just changed its planned or held processor count.
+//
+//koalalint:hotpath
+func (j *Job) PlanChanged() {
+	if j.runSite != 0 {
+		j.sched.planChanged(j)
+	}
+}
+
+// planTerms returns the job's contributions to its site's running totals:
+// max(0, planned − held) and max(0, planned − min).
+//
+//koalalint:hotpath
+func (j *Job) planTerms() (inflight, shrinkable int32) {
+	planned := j.PlannedProcs()
+	if d := planned - j.HeldProcs(); d > 0 {
+		inflight = int32(d)
+	}
+	if d := planned - j.MinProcs(); d > 0 {
+		shrinkable = int32(d)
+	}
+	return inflight, shrinkable
+}
 
 // State returns the job lifecycle state.
 func (j *Job) State() JobState { return j.state }

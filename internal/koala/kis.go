@@ -193,11 +193,16 @@ func (k *KIS) Refresh() Snapshot {
 	k.cur ^= 1
 	buf := k.bufs[k.cur]
 	for i, s := range k.sites {
-		buf[i] = ProcessorInfo{Total: s.Cluster().Nodes(), Idle: s.Cluster().Idle()}
+		buf[i] = k.probe(s)
 	}
 	k.refreshes++
 	k.last = Snapshot{Time: k.engine.Now(), procs: buf, idx: k.idx}
 	return k.last
+}
+
+// probe reads one site's processor information from the providers.
+func (k *KIS) probe(s *Site) ProcessorInfo {
+	return ProcessorInfo{Total: s.Cluster().Nodes(), Idle: s.Cluster().Idle()}
 }
 
 // Last returns the most recent snapshot without refreshing.

@@ -97,6 +97,19 @@ type Scheduler struct {
 	// job ever submitted.
 	running [][]*Job
 
+	// inflight and shrinkable are running totals over running[i]:
+	// Σ max(0, planned − held) and Σ max(0, planned − min). Each job keeps
+	// its own contribution; insertRunning adds it, removeRunning subtracts
+	// it and planChanged applies the difference, so the malleability
+	// manager reads both sums in O(1) (see docs/determinism.md).
+	inflight   []int
+	shrinkable []int
+
+	// scanSnap is the KIS snapshot taken once at the start of ScanQueue.
+	// Cluster idle counts only change inside engine events, never during
+	// a scan, so every placement view of the scan derives from it.
+	scanSnap Snapshot
+
 	// viewBuf is the reusable scratch backing of placementView's adjusted
 	// snapshot; it is valid only for the duration of one placement attempt.
 	viewBuf []ProcessorInfo
@@ -137,6 +150,9 @@ func NewScheduler(engine *sim.Engine, sites []*Site, cfg Config) *Scheduler {
 		pending: make([]int, len(sites)),
 		running: make([][]*Job, len(sites)),
 		viewBuf: make([]ProcessorInfo, len(sites)),
+
+		inflight:   make([]int, len(sites)),
+		shrinkable: make([]int, len(sites)),
 	}
 	for i, site := range sites {
 		s.siteOf[site] = i
@@ -207,6 +223,10 @@ func (s *Scheduler) insertRunning(i int, j *Job) {
 	}
 	lst[k] = j
 	s.running[i] = lst
+	j.runSite = int32(i + 1)
+	j.inflight, j.shrinkable = j.planTerms()
+	s.inflight[i] += int(j.inflight)
+	s.shrinkable[i] += int(j.shrinkable)
 }
 
 // removeRunning drops a finished malleable job from its site's index.
@@ -217,9 +237,42 @@ func (s *Scheduler) removeRunning(i int, j *Job) {
 			copy(lst[k:], lst[k+1:])
 			lst[len(lst)-1] = nil
 			s.running[i] = lst[:len(lst)-1]
+			s.inflight[i] -= int(j.inflight)
+			s.shrinkable[i] -= int(j.shrinkable)
+			j.runSite, j.inflight, j.shrinkable = 0, 0, 0
 			return
 		}
 	}
+}
+
+// planChanged applies the difference of an indexed job's contributions
+// after its runner changed planned or held processors.
+//
+//koalalint:hotpath
+func (s *Scheduler) planChanged(j *Job) {
+	i := j.runSite - 1
+	inflight, shrinkable := j.planTerms()
+	s.inflight[i] += int(inflight - j.inflight)
+	s.shrinkable[i] += int(shrinkable - j.shrinkable)
+	j.inflight, j.shrinkable = inflight, shrinkable
+}
+
+// InflightGrowthAt returns the processors of site i granted to its running
+// malleable jobs but not yet held: Σ max(0, planned − held). O(1).
+func (s *Scheduler) InflightGrowthAt(i int) int {
+	if debugCheck {
+		s.checkTotals(i)
+	}
+	return s.inflight[i]
+}
+
+// ShrinkableAt returns how many processors the running malleable jobs of
+// site i could still give back: Σ max(0, planned − min). O(1).
+func (s *Scheduler) ShrinkableAt(i int) int {
+	if debugCheck {
+		s.checkTotals(i)
+	}
+	return s.shrinkable[i]
 }
 
 // pollTick is the periodic heartbeat: refresh the KIS (discovering
@@ -286,11 +339,12 @@ func (s *Scheduler) removeFromQueue(j *Job) {
 // report that room is being made for it (PWA mandatory shrinks), scanning
 // stops to preserve the queue order.
 func (s *Scheduler) ScanQueue() {
-	if s.scanning {
+	if s.scanning || len(s.queue) == 0 {
 		return
 	}
 	s.scanning = true
 	defer func() { s.scanning = false }()
+	s.scanSnap = s.kis.Refresh()
 	i := 0
 	for i < len(s.queue) {
 		j := s.queue[i]
@@ -321,12 +375,18 @@ func (s *Scheduler) PendingClaims(site string) int {
 // PendingClaimsAt is PendingClaims by dense site index.
 func (s *Scheduler) PendingClaimsAt(i int) int { return s.pending[i] }
 
-// placementView returns a fresh snapshot with in-flight claims and the
-// malleability manager's in-flight growth reservations subtracted. The
-// returned snapshot is backed by a reusable scratch buffer: it is valid
-// only for the placement attempt it was built for.
+// placementView returns the current snapshot with in-flight claims and the
+// malleability manager's in-flight growth reservations subtracted. Inside
+// ScanQueue it reuses the scan's snapshot; outside (a submission) it
+// refreshes the KIS. The returned snapshot is backed by a reusable scratch
+// buffer: it is valid only for the placement attempt it was built for.
 func (s *Scheduler) placementView() Snapshot {
-	snap := s.kis.Refresh()
+	snap := s.scanSnap
+	if !s.scanning {
+		snap = s.kis.Refresh()
+	} else if debugCheck {
+		s.checkScanSnap()
+	}
 	for i := range s.sites {
 		info := snap.At(i)
 		info.Idle -= s.pending[i]

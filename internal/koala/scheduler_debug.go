@@ -1,0 +1,41 @@
+package koala
+
+import "fmt"
+
+// debugCheck turns on the scheduler's invariant checker. Tests flip it on
+// (SetDebugCheck in export_test.go); production runs pay one predictable
+// branch per guarded read.
+var debugCheck = false
+
+// checkTotals panics unless the running totals of site i equal the
+// brute-force sums over its running malleable jobs.
+func (s *Scheduler) checkTotals(i int) {
+	inflight, shrinkable := 0, 0
+	for _, j := range s.running[i] {
+		if d := j.PlannedProcs() - j.HeldProcs(); d > 0 {
+			inflight += d
+		}
+		if d := j.PlannedProcs() - j.MinProcs(); d > 0 {
+			shrinkable += d
+		}
+	}
+	if inflight != s.inflight[i] || shrinkable != s.shrinkable[i] {
+		panic(fmt.Sprintf("koala: site %d at t=%g: inflight total %d, summed %d; shrinkable total %d, summed %d",
+			i, s.engine.Now(), s.inflight[i], inflight, s.shrinkable[i], shrinkable))
+	}
+}
+
+// checkScanSnap panics unless the snapshot taken at the start of the
+// current ScanQueue still equals a fresh reading of every cluster.
+func (s *Scheduler) checkScanSnap() {
+	snap := s.scanSnap
+	if snap.Time != s.engine.Now() {
+		panic(fmt.Sprintf("koala: scan snapshot from t=%g used at t=%g", snap.Time, s.engine.Now()))
+	}
+	for i, site := range s.sites {
+		if got, want := snap.At(i), s.kis.probe(site); got != want {
+			panic(fmt.Sprintf("koala: scan snapshot of %s is %+v, a fresh KIS reading is %+v at t=%g",
+				site.Name(), got, want, snap.Time))
+		}
+	}
+}

@@ -81,6 +81,38 @@ func TestSubmitMalleableJobUsesMRunner(t *testing.T) {
 	s.Stop()
 }
 
+// TestRunningTotalsFollowSafePointRelease covers a plan change the
+// RunOnce workloads do not reach: a grow accepted while a shrink waits for
+// its safe point, so the release leaves planned above held.
+func TestRunningTotalsFollowSafePointRelease(t *testing.T) {
+	defer SetDebugCheck(SetDebugCheck(true))
+	e, _, s := newSched(t, fastCfg(), 48)
+	j, err := s.Submit(malleableSpec("m1", app.GadgetProfile(), 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RunUntil(100)
+	if got := j.RequestShrink(4); got != 4 {
+		t.Fatalf("shrink released %d", got)
+	}
+	if got := j.RequestGrow(4); got != 4 {
+		t.Fatalf("grow accepted %d", got)
+	}
+	// The safe point fires now; the grow's stubs are still at GRAM.
+	e.RunUntil(101)
+	if held := j.HeldProcs(); held != 4 {
+		t.Fatalf("held = %d after the safe point", held)
+	}
+	if got := s.InflightGrowthAt(0); got != 4 {
+		t.Fatalf("in-flight growth = %d, want 4", got)
+	}
+	e.RunUntil(200)
+	if got := s.InflightGrowthAt(0); got != 0 {
+		t.Fatalf("in-flight growth = %d after the grow, want 0", got)
+	}
+	s.Stop()
+}
+
 func TestQueueingWhenFull(t *testing.T) {
 	e, _, s := newSched(t, fastCfg(), 4)
 	a, _ := s.Submit(rigidSpec("a", 4))

@@ -24,6 +24,15 @@ type Lifecycle interface {
 	JobFinished()
 }
 
+// PlanObserver is implemented by a Lifecycle that keeps running totals
+// over malleable jobs' planned and held processor counts. The MRunner
+// reaches it through a type assertion on Callbacks.Lifecycle (no extra
+// field, no closure) right after every write to its planned count or its
+// held stubs.
+type PlanObserver interface {
+	PlanChanged()
+}
+
 // Callbacks connect a runner to the scheduler frontend. All callbacks are
 // optional.
 type Callbacks struct {
@@ -247,7 +256,18 @@ func (r *MRunner) onAppFinished() {
 		}
 	}
 	r.stubs = nil
+	r.planChanged()
 	r.cb.notifyFinished()
+}
+
+// planChanged tells the Lifecycle, when it is a PlanObserver, that planned
+// or held processors just changed.
+//
+//koalalint:hotpath
+func (r *MRunner) planChanged() {
+	if o, ok := r.cb.Lifecycle.(PlanObserver); ok {
+		o.PlanChanged()
+	}
 }
 
 // PlannedProcs returns the processor count the application will have once
@@ -275,6 +295,7 @@ func (r *MRunner) RequestGrow(offer int) int {
 		return 0
 	}
 	r.planned += accepted
+	r.planChanged()
 	r.fw.Notify(dynaco.Event{Kind: dynaco.GrowRequest, Amount: accepted})
 	return accepted
 }
@@ -299,6 +320,7 @@ func (r *MRunner) RequestShrink(request int) int {
 		return 0
 	}
 	r.planned -= released
+	r.planChanged()
 	r.fw.Notify(dynaco.Event{Kind: dynaco.ShrinkRequest, Amount: released})
 	return released
 }
@@ -326,6 +348,7 @@ func (h *mrunnerHandler) AdaptationDone(res dynaco.Result) {
 		// application accepted (acquisition timeout): reconcile the plan.
 		if res.Accepted < res.Event.Amount {
 			r.planned -= res.Event.Amount - res.Accepted
+			r.planChanged()
 		}
 		if r.cb.OnGrowAck != nil {
 			r.cb.OnGrowAck(res.Accepted)
@@ -442,6 +465,7 @@ func (a *acquisition) JobActive(j *gram.Job) {
 		return
 	}
 	r.stubs = append(r.stubs, j)
+	r.planChanged()
 	a.held++
 	if a.held == a.n {
 		a.complete()
@@ -523,5 +547,6 @@ func (h *mrunnerHandler) OnEvent(op int) {
 		r.stubs = r.stubs[:len(r.stubs)-1]
 		r.svc.Release(last)
 	}
+	r.planChanged()
 	r.fw.StepDone()
 }

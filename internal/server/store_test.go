@@ -50,6 +50,21 @@ func closeStoreServer(t *testing.T, s *Server, ts *httptest.Server, st *store.St
 
 // tinyHashAndSpec resolves tinyConfig exactly like handleSubmit does:
 // its canonical fingerprint and its journaled wire form.
+// waitPersisted waits until no run is executing. An event stream ends at
+// the run's terminal event, which is published before the run's result
+// is written to the store and its terminal record is journaled (and the
+// journal compacted); all of that is done once execute has returned.
+func waitPersisted(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.activeRuns.Load() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := s.activeRuns.Load(); n != 0 {
+		t.Fatalf("%d runs still executing after their terminal event", n)
+	}
+}
+
 func tinyHashAndSpec(t *testing.T) (string, json.RawMessage) {
 	t.Helper()
 	spec, err := experiment.DecodeConfigSpec(strings.NewReader(tinyConfig))
@@ -201,6 +216,7 @@ func TestRecoveryReenqueuesInFlight(t *testing.T) {
 	if s.repsDone.Load() == 0 {
 		t.Fatal("re-enqueued run did not actually simulate")
 	}
+	waitPersisted(t, s)
 	// Its completion was written through: the store now holds the
 	// result, and a fresh POST of the identical config is a cache hit.
 	if st2.Get(hash) == nil {
@@ -442,6 +458,7 @@ func TestJournalCompactionBounded(t *testing.T) {
 		}
 		readEvents(t, ts, sr.ID)
 	}
+	waitPersisted(t, s)
 	if s.compactions.Load() == 0 {
 		t.Fatal("journal never compacted")
 	}
@@ -475,6 +492,7 @@ func TestJournalCompactionOnFailures(t *testing.T) {
 		}
 		readEvents(t, ts, sr.ID)
 	}
+	waitPersisted(t, s)
 	if s.runsFailed.Load() != 3 {
 		t.Fatalf("failed runs = %d, want 3", s.runsFailed.Load())
 	}
