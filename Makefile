@@ -57,7 +57,7 @@ vuln:
 # the default each PR, or override: make bench BENCH_OUT=BENCH_PRn.json.
 # Two steps so a failing benchmark run fails the target instead of being
 # masked by the pipe's exit status.
-BENCH_OUT ?= BENCH_PR13.json
+BENCH_OUT ?= BENCH_PR14.json
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem -count=1 . ./internal/sim ./internal/koala > bench.raw.tmp
@@ -70,7 +70,7 @@ bench-smoke:
 
 # The CI regression gate, locally: a 1x smoke run diffed against the
 # committed baseline (allocs/op gates; ns/op needs >1 iteration).
-BENCH_BASELINE ?= BENCH_PR13.json
+BENCH_BASELINE ?= BENCH_PR14.json
 
 bench-compare:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./... > bench.smoke.tmp

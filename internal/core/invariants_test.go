@@ -7,6 +7,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/gram"
+	"repro/internal/invariant"
 	"repro/internal/koala"
 	"repro/internal/runner"
 	"repro/internal/workload"
@@ -21,7 +22,11 @@ import (
 //  3. held processors never exceed cluster capacity;
 //  4. every job reaches a terminal state by the horizon;
 //  5. the manager's reservations are non-negative.
+//
+// The invariant checkers are on, so the scheduler's running totals and
+// the manager's scan memos are also checked against brute force.
 func TestPropertySystemInvariants(t *testing.T) {
+	defer invariant.Set(invariant.Set(true))
 	policies := []Policy{FPSMA{}, EGS{}, Equipartition{}, Folding{}}
 	approaches := []Approach{PRA{}, PWA{}, PWAVoluntary{}}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/invariant"
 	"repro/internal/koala"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -47,12 +48,24 @@ type Manager struct {
 	appGrowMsgs   uint64
 
 	// prevAvail remembers the last observed growth headroom per site (by
-	// dense site index), with prevSeen marking sites observed at least
-	// once. Growth rounds run when processors *become available* (§V-B) —
-	// an edge trigger, not a level trigger — so a site whose availability
-	// is unchanged since the previous poll is left alone.
+	// dense site index). Growth rounds run when processors *become
+	// available* (§V-B) — an edge trigger, not a level trigger — so a site
+	// whose availability is unchanged since the previous poll is left
+	// alone. A site not yet observed starts at 0, so its first round
+	// offers all of its headroom.
 	prevAvail []int
-	prevSeen  []bool
+
+	// Scan memos keyed on the scheduler's Version (see docs/determinism.md).
+	// grownAt is the stamp at which the last growAll round ended (0: none;
+	// a Version is at least 1): a round at that stamp grows nothing.
+	// capStamp is the stamp of maxIdle, the largest growth-free headroom
+	// of any site, and maxCap, the largest headroom once every malleable
+	// job shrinks to its minimum. Both memos live as long as the Manager,
+	// which is one replication.
+	grownAt  uint64
+	capStamp uint64
+	maxIdle  int
+	maxCap   int
 }
 
 // NewManager attaches a malleability manager to the scheduler.
@@ -73,7 +86,6 @@ func NewManager(engine *sim.Engine, sched *koala.Scheduler, cfg ManagerConfig) *
 		growMsgs:   stats.NewCounter(),
 		shrinkMsgs: stats.NewCounter(),
 		prevAvail:  make([]int, len(sched.Sites())),
-		prevSeen:   make([]bool, len(sched.Sites())),
 	}
 	sched.SetHooks(m)
 	return m
@@ -172,19 +184,24 @@ func (m *Manager) growSiteAt(i, avail int) int {
 // headroom): growth is driven by availability events — a job finishing, a
 // local user leaving — exactly as §V-B describes, rather than by repeatedly
 // re-offering idle capacity that the policies already declined.
+//
+// A round at the Version where the previous round ended is a no-op: every
+// site's headroom still equals the prevAvail that round left, so no site
+// grows and no state changes. It returns at once. snap must be the KIS's
+// latest snapshot, as it is at every caller.
+//
+//koalalint:hotpath
 func (m *Manager) growAll(snap koala.Snapshot) int {
+	if m.sched.Version() == m.grownAt {
+		if invariant.Checking {
+			m.checkGrowSkip(snap)
+		}
+		return 0
+	}
 	total := 0
 	for i := range m.sched.Sites() {
 		avail := m.availableForGrowth(snap, i)
-		grow := avail
-		if m.prevSeen[i] {
-			base := m.prevAvail[i]
-			if base < 0 {
-				base = 0
-			}
-			grow = avail - base
-		}
-		m.prevSeen[i] = true
+		grow := avail - max(m.prevAvail[i], 0)
 		if grow > 0 && avail > 0 {
 			if grow > avail {
 				grow = avail
@@ -197,6 +214,7 @@ func (m *Manager) growAll(snap koala.Snapshot) int {
 		}
 		m.prevAvail[i] = avail
 	}
+	m.grownAt = m.sched.Version()
 	return total
 }
 
@@ -230,17 +248,53 @@ func (m *Manager) shrinkSiteAt(i, need int) int {
 // placement failure was transient and nothing needs shrinking. best is -1
 // when no site can host the job even with every malleable job at its
 // minimum.
+//
+// Both of those answers compare need with a per-site maximum that is
+// cached per Version, so they cost O(1); only a real shrink walks the
+// sites. snap must be the KIS's latest snapshot, as it is at every caller.
+//
+//koalalint:hotpath
 func (m *Manager) shrinkTarget(snap koala.Snapshot, need int) (best, short int, fits bool) {
+	if v := m.sched.Version(); v != m.capStamp {
+		m.maxIdle, m.maxCap = m.headroomMax(snap)
+		m.capStamp = v
+	}
 	best = -1
-	for i := range m.sched.Sites() {
-		idle := snap.IdleAt(i) - m.sched.PendingClaimsAt(i) - m.sched.InflightGrowthAt(i)
-		s := need - idle
-		if s <= 0 {
-			return -1, 0, true
-		}
-		if m.sched.ShrinkableAt(i) >= s && (best < 0 || s < short) {
-			best, short = i, s
+	switch {
+	case need <= m.maxIdle:
+		fits = true
+	case need <= m.maxCap:
+		for i := range m.sched.Sites() {
+			s := need - m.idleAt(snap, i)
+			if m.sched.ShrinkableAt(i) >= s && (best < 0 || s < short) {
+				best, short = i, s
+			}
 		}
 	}
-	return best, short, false
+	if invariant.Checking {
+		m.checkShrinkTarget(snap, need, best, short, fits)
+	}
+	return best, short, fits
+}
+
+// idleAt is site i's idle processors once claims and in-flight growth are
+// discounted: what a placement there could use without shrinking anyone.
+func (m *Manager) idleAt(snap koala.Snapshot, i int) int {
+	return snap.IdleAt(i) - m.sched.PendingClaimsAt(i) - m.sched.InflightGrowthAt(i)
+}
+
+// headroomMax returns the largest idleAt over the sites and the largest
+// idleAt plus shrinkable processors.
+func (m *Manager) headroomMax(snap koala.Snapshot) (maxIdle, maxCap int) {
+	for i := range m.sched.Sites() {
+		idle := m.idleAt(snap, i)
+		c := idle + m.sched.ShrinkableAt(i)
+		if i == 0 || idle > maxIdle {
+			maxIdle = idle
+		}
+		if i == 0 || c > maxCap {
+			maxCap = c
+		}
+	}
+	return maxIdle, maxCap
 }

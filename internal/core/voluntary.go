@@ -28,9 +28,10 @@ func (m *Manager) AppGrowRequest(site string, amount int) int {
 		grant = avail
 	}
 	m.appGrowMsgs++
-	// Keep the edge trigger consistent: the grant consumes headroom.
+	// Keep the edge trigger consistent: the grant consumes headroom. The
+	// write also voids growAll's no-op memo.
 	m.prevAvail[i] = avail - grant
-	m.prevSeen[i] = true
+	m.grownAt = 0
 	return grant
 }
 

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
-	"repro/internal/koala"
+	"repro/internal/invariant"
 	"repro/internal/workload"
 )
 
@@ -30,14 +30,16 @@ func invariantWorkloads(short bool) []experiment.Config {
 }
 
 // TestRunningTotalsMatchBruteForce runs every approach under FPSMA and EGS
-// with the scheduler's invariant checker on: each InflightGrowthAt and
-// ShrinkableAt read is compared with the sum over the site's running
-// malleable jobs, and each in-scan placement view with a fresh KIS
-// reading. Any mismatch panics and fails the test.
+// with the invariant checkers on: each InflightGrowthAt and ShrinkableAt
+// read is compared with the sum over the site's running malleable jobs,
+// each in-scan snapshot with a fresh KIS reading, each reused placement
+// view with a rebuild, each growAll skipped at an unchanged Version with a
+// dry run, and each O(1) shrinkTarget answer with the full per-site loop.
+// Any mismatch panics and fails the test.
 func TestRunningTotalsMatchBruteForce(t *testing.T) {
-	prev := koala.SetDebugCheck(true)
+	prev := invariant.Set(true)
 	// Cleanup, not defer: the parallel subtests run after this body returns.
-	t.Cleanup(func() { koala.SetDebugCheck(prev) })
+	t.Cleanup(func() { invariant.Set(prev) })
 	for _, approach := range []string{"PRA", "PWA", "PWAV", "MANUAL"} {
 		for _, policy := range []string{"FPSMA", "EGS"} {
 			for _, cfg := range invariantWorkloads(testing.Short()) {

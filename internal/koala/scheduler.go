@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/app"
+	"repro/internal/invariant"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
@@ -28,7 +29,9 @@ type Hooks interface {
 	// granted to growing jobs but that are not yet held (stub submissions
 	// in flight). The processor claimer subtracts them from every placement
 	// view so that newly arriving jobs cannot double-book processors
-	// already promised to running applications.
+	// already promised to running applications. It must depend only on
+	// scheduler state that Scheduler.Version stamps: the placement view
+	// is rebuilt only when the stamp moves.
 	Reserved(siteIndex int) int
 }
 
@@ -79,9 +82,11 @@ type Scheduler struct {
 	queue []*Job
 	jobs  []*Job
 
-	// siteOf maps a site back to its dense index (the position in sites),
-	// which keys every per-site slice below.
-	siteOf map[*Site]int
+	// scanR and scanW are ScanQueue's read and write cursors. Jobs before
+	// scanW stay queued, the placed and rejected jobs in [scanW, scanR)
+	// are compacted out when the scan ends, and jobs from scanR on are
+	// still to be tried. Both are zero outside a scan.
+	scanR, scanW int
 
 	// pending counts processors (by site index) claimed for placed jobs
 	// whose GRAM submissions are still in flight. The processor claimer
@@ -110,9 +115,16 @@ type Scheduler struct {
 	// a scan, so every placement view of the scan derives from it.
 	scanSnap Snapshot
 
-	// viewBuf is the reusable scratch backing of placementView's adjusted
-	// snapshot; it is valid only for the duration of one placement attempt.
-	viewBuf []ProcessorInfo
+	// changes is bumped once by every operation that writes pending,
+	// inflight or shrinkable: claim, jobStarted, removeRunning and
+	// planChanged. With the KIS refresh count it forms Version.
+	changes uint64
+
+	// viewBuf backs placementView's claims-adjusted snapshot, and
+	// viewStamp is the Version it was built at. It is valid only for the
+	// placement attempt it was returned to.
+	viewBuf   []ProcessorInfo
+	viewStamp uint64
 
 	// claimsPool recycles per-job claim vectors: claims live only from
 	// Placing to Running, so a small free list serves the whole run.
@@ -146,7 +158,6 @@ func NewScheduler(engine *sim.Engine, sites []*Site, cfg Config) *Scheduler {
 		sites:   sites,
 		kis:     newKIS(engine, sites, cfg.Index),
 		cfg:     cfg,
-		siteOf:  make(map[*Site]int, len(sites)),
 		pending: make([]int, len(sites)),
 		running: make([][]*Job, len(sites)),
 		viewBuf: make([]ProcessorInfo, len(sites)),
@@ -154,11 +165,19 @@ func NewScheduler(engine *sim.Engine, sites []*Site, cfg Config) *Scheduler {
 		inflight:   make([]int, len(sites)),
 		shrinkable: make([]int, len(sites)),
 	}
-	for i, site := range sites {
-		s.siteOf[site] = i
-	}
 	s.ticker = sim.NewTicker(engine, cfg.PollInterval, s.pollTick)
 	return s
+}
+
+// indexOf returns the dense index of a site of this scheduler: its
+// position in Sites(), which keys every per-site slice.
+func (s *Scheduler) indexOf(site *Site) int {
+	for i, x := range s.sites {
+		if x == site {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("koala: site %s is not scheduled here", site.Name()))
 }
 
 // SiteIndex returns the dense index of the named site in Sites() order.
@@ -186,11 +205,26 @@ func (s *Scheduler) Stop() { s.ticker.Stop() }
 func (s *Scheduler) Jobs() []*Job { return s.jobs }
 
 // QueueLength returns the number of jobs waiting for placement.
-func (s *Scheduler) QueueLength() int { return len(s.queue) }
+func (s *Scheduler) QueueLength() int { return len(s.queue) - (s.scanR - s.scanW) }
 
 // QueuedJobs returns the placement queue, head first. The slice must not be
 // modified.
-func (s *Scheduler) QueuedJobs() []*Job { return s.queue }
+func (s *Scheduler) QueuedJobs() []*Job {
+	if s.scanR == s.scanW {
+		return s.queue
+	}
+	// Called from a hook mid-scan: the placed and rejected jobs are not
+	// compacted out yet, so return a copy without them.
+	return append(s.queue[:s.scanW:s.scanW], s.queue[s.scanR:]...)
+}
+
+// Version returns a monotone stamp of the scheduler state that placement
+// views and the malleability manager's scan memos read: it moves on every
+// write of the pending claims, the in-flight growth or shrinkable totals,
+// and on every KIS refresh. Two reads at the same stamp see the same
+// snapshot, claims and totals (see docs/determinism.md). It is at least 1,
+// because the KIS refreshes once at construction.
+func (s *Scheduler) Version() uint64 { return s.changes + s.kis.refreshes }
 
 // RunningMalleableJobs returns the malleable jobs currently running on the
 // named site, sorted by increasing start time with ties in submission order
@@ -239,6 +273,7 @@ func (s *Scheduler) removeRunning(i int, j *Job) {
 			s.running[i] = lst[:len(lst)-1]
 			s.inflight[i] -= int(j.inflight)
 			s.shrinkable[i] -= int(j.shrinkable)
+			s.changes++
 			j.runSite, j.inflight, j.shrinkable = 0, 0, 0
 			return
 		}
@@ -254,13 +289,14 @@ func (s *Scheduler) planChanged(j *Job) {
 	inflight, shrinkable := j.planTerms()
 	s.inflight[i] += int(inflight - j.inflight)
 	s.shrinkable[i] += int(shrinkable - j.shrinkable)
+	s.changes++
 	j.inflight, j.shrinkable = inflight, shrinkable
 }
 
 // InflightGrowthAt returns the processors of site i granted to its running
 // malleable jobs but not yet held: Σ max(0, planned − held). O(1).
 func (s *Scheduler) InflightGrowthAt(i int) int {
-	if debugCheck {
+	if invariant.Checking {
 		s.checkTotals(i)
 	}
 	return s.inflight[i]
@@ -269,7 +305,7 @@ func (s *Scheduler) InflightGrowthAt(i int) int {
 // ShrinkableAt returns how many processors the running malleable jobs of
 // site i could still give back: Σ max(0, planned − min). O(1).
 func (s *Scheduler) ShrinkableAt(i int) int {
-	if debugCheck {
+	if invariant.Checking {
 		s.checkTotals(i)
 	}
 	return s.shrinkable[i]
@@ -302,22 +338,20 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	s.jobArena = s.jobArena[1:]
 	j.Spec, j.state, j.submitTime, j.seq, j.sched = spec, Waiting, s.engine.Now(), len(s.jobs), s
 	s.jobs = append(s.jobs, j)
+	// A fresh job has made one try, which no threshold rejects: only
+	// ScanQueue's retries can exceed MaxPlacementTries.
 	if !s.tryPlace(j) {
 		s.queue = append(s.queue, j)
-		if s.rejectIfOverThreshold(j) {
-			return j, nil
-		}
 	}
 	return j, nil
 }
 
 // rejectIfOverThreshold applies the placement-try threshold of §IV-A; it
-// reports whether the job was rejected (and removed from the queue).
+// reports whether the job was rejected. The caller drops it from the queue.
 func (s *Scheduler) rejectIfOverThreshold(j *Job) bool {
 	if s.cfg.MaxPlacementTries <= 0 || j.tries <= s.cfg.MaxPlacementTries {
 		return false
 	}
-	s.removeFromQueue(j)
 	j.state = Rejected
 	if s.OnJobRejected != nil {
 		s.OnJobRejected(j)
@@ -325,41 +359,37 @@ func (s *Scheduler) rejectIfOverThreshold(j *Job) bool {
 	return true
 }
 
-func (s *Scheduler) removeFromQueue(j *Job) {
-	for i, q := range s.queue {
-		if q == j {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			return
-		}
-	}
-}
-
 // ScanQueue walks the placement queue head to tail, placing every job that
 // fits (§IV-A). When a job cannot be placed and the malleability hooks
 // report that room is being made for it (PWA mandatory shrinks), scanning
-// stops to preserve the queue order.
+// stops to preserve the queue order. Placed and rejected jobs leave the
+// queue in one compaction when the scan ends.
 func (s *Scheduler) ScanQueue() {
 	if s.scanning || len(s.queue) == 0 {
 		return
 	}
 	s.scanning = true
-	defer func() { s.scanning = false }()
 	s.scanSnap = s.kis.Refresh()
-	i := 0
-	for i < len(s.queue) {
-		j := s.queue[i]
-		if s.tryPlace(j) {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+	for s.scanR < len(s.queue) {
+		j := s.queue[s.scanR]
+		placed := s.tryPlace(j)
+		// Advance the read cursor before the rejection callback, so
+		// QueueLength no longer counts a placed or rejected job.
+		s.scanR++
+		if placed || s.rejectIfOverThreshold(j) {
 			continue
 		}
-		if s.rejectIfOverThreshold(j) {
-			continue
-		}
+		s.queue[s.scanW] = j
+		s.scanW++
 		if s.hooks != nil && s.hooks.PlacementBlocked(j) {
-			return
+			break
 		}
-		i++
 	}
+	n := s.scanW + copy(s.queue[s.scanW:], s.queue[s.scanR:])
+	clear(s.queue[n:])
+	s.queue = s.queue[:n]
+	s.scanR, s.scanW = 0, 0
+	s.scanning = false
 }
 
 // PendingClaims returns the processors claimed on the named site for jobs
@@ -378,27 +408,45 @@ func (s *Scheduler) PendingClaimsAt(i int) int { return s.pending[i] }
 // placementView returns the current snapshot with in-flight claims and the
 // malleability manager's in-flight growth reservations subtracted. Inside
 // ScanQueue it reuses the scan's snapshot; outside (a submission) it
-// refreshes the KIS. The returned snapshot is backed by a reusable scratch
-// buffer: it is valid only for the placement attempt it was built for.
+// refreshes the KIS. Either way Version moves, so a built view is reused
+// only within one scan, and there only until Version moves again: the
+// snapshot, the claims and the reservations are all stamped by it. Most
+// tries of a contended scan reuse the previous view. The returned
+// snapshot is backed by a reusable scratch buffer: it is valid only for
+// the placement attempt it was returned to.
+//
+//koalalint:hotpath
 func (s *Scheduler) placementView() Snapshot {
 	snap := s.scanSnap
 	if !s.scanning {
 		snap = s.kis.Refresh()
-	} else if debugCheck {
+	} else if invariant.Checking {
 		s.checkScanSnap()
 	}
-	for i := range s.sites {
-		info := snap.At(i)
-		info.Idle -= s.pending[i]
-		if s.hooks != nil {
-			info.Idle -= s.hooks.Reserved(i)
+	if v := s.Version(); v != s.viewStamp {
+		for i := range s.sites {
+			s.viewBuf[i] = s.viewAt(snap, i)
 		}
-		if info.Idle < 0 {
-			info.Idle = 0
-		}
-		s.viewBuf[i] = info
+		s.viewStamp = v
+	} else if invariant.Checking {
+		s.checkView(snap)
 	}
-	return Snapshot{Time: snap.Time, procs: s.viewBuf, idx: s.kis.idx}
+	view := snap
+	view.procs = s.viewBuf
+	return view
+}
+
+// viewAt is site i's entry of the placement view built over snap.
+func (s *Scheduler) viewAt(snap Snapshot, i int) ProcessorInfo {
+	info := snap.At(i)
+	info.Idle -= s.pending[i]
+	if s.hooks != nil {
+		info.Idle -= s.hooks.Reserved(i)
+	}
+	if info.Idle < 0 {
+		info.Idle = 0
+	}
+	return info
 }
 
 // tryPlace runs the placement policy against a claims-adjusted snapshot
@@ -443,12 +491,21 @@ func (s *Scheduler) claim(j *Job, placements []ComponentPlacement) {
 	j.placeTime = s.engine.Now()
 	j.claims = s.getClaims()
 	j.sites = j.sitesBuf[:0]
+	if p := &placements[0]; len(placements) == 1 && !j.Malleable() {
+		// Moldable sizing may start the job at another size than the
+		// placed one: claim the size the runner starts with.
+		if prof := j.Spec.Components[p.Component].Profile; prof.Class == app.Moldable && s.cfg.MoldableSizing != nil {
+			idle := s.kis.Last().IdleAt(s.indexOf(p.Site))
+			p.Size = clamp(s.cfg.MoldableSizing(prof.Min, prof.Max, idle+p.Size), prof.Min, prof.Max)
+		}
+	}
 	for _, p := range placements {
 		j.sites = append(j.sites, p.Site)
-		si := s.siteOf[p.Site]
+		si := s.indexOf(p.Site)
 		j.claims[si] += p.Size
 		s.pending[si] += p.Size
 	}
+	s.changes++
 	cb := runner.Callbacks{Lifecycle: j}
 	if j.Malleable() {
 		comp := j.Spec.Components[0]
@@ -469,17 +526,7 @@ func (s *Scheduler) claim(j *Job, placements []ComponentPlacement) {
 	}
 	if len(placements) == 1 {
 		comp := j.Spec.Components[placements[0].Component]
-		size := placements[0].Size
-		if comp.Profile.Class == app.Moldable && s.cfg.MoldableSizing != nil {
-			si := s.siteOf[placements[0].Site]
-			idle := s.kis.Last().IdleAt(si)
-			size = clamp(s.cfg.MoldableSizing(comp.Profile.Min, comp.Profile.Max, idle+size), comp.Profile.Min, comp.Profile.Max)
-			// Moldable sizing may differ from the placed size: keep the
-			// claim accounting in sync.
-			j.claims[si] += size - placements[0].Size
-			s.pending[si] += size - placements[0].Size
-		}
-		rr, err := runner.NewRigidRunner(s.engine, placements[0].Site.Gram(), comp.Profile, size, cb)
+		rr, err := runner.NewRigidRunner(s.engine, placements[0].Site.Gram(), comp.Profile, placements[0].Size, cb)
 		if err != nil {
 			panic(fmt.Sprintf("koala: claim failed for %s: %v", j.Spec.ID, err))
 		}
@@ -528,9 +575,11 @@ func (s *Scheduler) jobStarted(j *Job) {
 	j.claims = nil
 	if j.Malleable() {
 		if site := j.Site(); site != nil {
-			s.insertRunning(s.siteOf[site], j)
+			s.insertRunning(s.indexOf(site), j)
 		}
 	}
+	// One Version bump covers the claims dropped and the totals added.
+	s.changes++
 	if s.OnJobStarted != nil {
 		s.OnJobStarted(j)
 	}
@@ -541,7 +590,7 @@ func (s *Scheduler) jobFinished(j *Job) {
 	j.endTime = s.engine.Now()
 	if j.Malleable() {
 		if site := j.Site(); site != nil {
-			s.removeRunning(s.siteOf[site], j)
+			s.removeRunning(s.indexOf(site), j)
 		}
 	}
 	if s.OnJobFinished != nil {

@@ -2,10 +2,8 @@ package koala
 
 import "fmt"
 
-// debugCheck turns on the scheduler's invariant checker. Tests flip it on
-// (SetDebugCheck in export_test.go); production runs pay one predictable
-// branch per guarded read.
-var debugCheck = false
+// The checkers below run only when invariant.Checking is on (tests flip
+// it); each panics on the first mismatch with a brute-force recomputation.
 
 // checkTotals panics unless the running totals of site i equal the
 // brute-force sums over its running malleable jobs.
@@ -36,6 +34,17 @@ func (s *Scheduler) checkScanSnap() {
 		if got, want := snap.At(i), s.kis.probe(site); got != want {
 			panic(fmt.Sprintf("koala: scan snapshot of %s is %+v, a fresh KIS reading is %+v at t=%g",
 				site.Name(), got, want, snap.Time))
+		}
+	}
+}
+
+// checkView panics unless the placement view cached at the current
+// Version equals a fresh rebuild over snap.
+func (s *Scheduler) checkView(snap Snapshot) {
+	for i, site := range s.sites {
+		if got, want := s.viewBuf[i], s.viewAt(snap, i); got != want {
+			panic(fmt.Sprintf("koala: cached placement view of %s is %+v, a rebuild is %+v at t=%g (version %d)",
+				site.Name(), got, want, snap.Time, s.Version()))
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/gram"
+	"repro/internal/invariant"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
@@ -85,7 +86,7 @@ func TestSubmitMalleableJobUsesMRunner(t *testing.T) {
 // RunOnce workloads do not reach: a grow accepted while a shrink waits for
 // its safe point, so the release leaves planned above held.
 func TestRunningTotalsFollowSafePointRelease(t *testing.T) {
-	defer SetDebugCheck(SetDebugCheck(true))
+	defer invariant.Set(invariant.Set(true))
 	e, _, s := newSched(t, fastCfg(), 48)
 	j, err := s.Submit(malleableSpec("m1", app.GadgetProfile(), 8))
 	if err != nil {
@@ -353,5 +354,66 @@ func TestAutoJobID(t *testing.T) {
 		t.Fatalf("IDs: %q %q", a.Spec.ID, b.Spec.ID)
 	}
 	e.RunUntil(1)
+	s.Stop()
+}
+
+// queueCheckHooks checks, from inside ScanQueue, that the queue a hook
+// sees holds exactly the waiting jobs, in submission order, while placed
+// and rejected jobs are not yet compacted out.
+type queueCheckHooks struct {
+	t      *testing.T
+	s      *Scheduler
+	checks int
+}
+
+func (h *queueCheckHooks) Poll(Snapshot)        { h.s.ScanQueue() }
+func (h *queueCheckHooks) ProcessorsAvailable() { h.s.ScanQueue() }
+func (h *queueCheckHooks) Reserved(int) int     { return 0 }
+func (h *queueCheckHooks) PlacementBlocked(j *Job) bool {
+	h.checks++
+	q := h.s.QueuedJobs()
+	if len(q) != h.s.QueueLength() {
+		h.t.Fatalf("mid-scan: %d queued jobs, QueueLength %d", len(q), h.s.QueueLength())
+	}
+	found := false
+	for k, qj := range q {
+		if qj.State() != Waiting || (k > 0 && q[k-1].seq >= qj.seq) {
+			h.t.Fatalf("mid-scan queue entry %d is %s (%v)", k, qj.Spec.ID, qj.State())
+		}
+		found = found || qj == j
+	}
+	if !found {
+		h.t.Fatalf("blocked job %s is not in the queue", j.Spec.ID)
+	}
+	return false
+}
+
+func TestQueueExactDuringScan(t *testing.T) {
+	cfg := fastCfg()
+	cfg.MaxPlacementTries = 40
+	e, _, s := newSched(t, cfg, 8)
+	h := &queueCheckHooks{t: t, s: s}
+	s.SetHooks(h)
+	s.Submit(rigidSpec("big", 8))
+	var jobs []*Job
+	for _, size := range []int{4, 16, 2, 20, 2} { // 16 and 20 never fit
+		j, err := s.Submit(rigidSpec("q", size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	e.RunUntil(1000)
+	if h.checks == 0 {
+		t.Fatal("PlacementBlocked never fired")
+	}
+	for k, want := range []JobState{Finished, Rejected, Finished, Rejected, Finished} {
+		if got := jobs[k].State(); got != want {
+			t.Errorf("job %d (size %d) is %v, want %v", k, jobs[k].Spec.TotalSize(), got, want)
+		}
+	}
+	if s.QueueLength() != 0 || len(s.QueuedJobs()) != 0 {
+		t.Fatalf("queue holds %d jobs at the end", s.QueueLength())
+	}
 	s.Stop()
 }

@@ -40,12 +40,14 @@ var deterministicDirs = map[string]bool{
 }
 
 // hotPathDirs is the scheduling stack swept by hotpathalloc: the sim
-// kernel plus every package that schedules events in steady state. The
+// kernel plus every package that schedules events or runs a scheduling
+// round in steady state (core: the malleability manager). The
 // setup-time packages (workload submission, experiment wiring) may use the
 // closure API — they run once per replication, not once per event.
 var hotPathDirs = map[string]bool{
 	"sim":    true,
 	"koala":  true,
+	"core":   true,
 	"gram":   true,
 	"lrm":    true,
 	"dynaco": true,
