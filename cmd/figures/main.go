@@ -4,13 +4,13 @@
 // Usage:
 //
 //	figures [-runs N] [-parallel N] [-seed S] [-csv] [-only 7a,8f,...]
-//	        [-stream] [-version]
+//	        [-version]
 //
 // Without -only, everything is produced in paper order. Output goes to
-// stdout; -csv switches from aligned columns to CSV. -stream replaces
-// the pooled summary tables with the constant-memory streaming
-// aggregation path (per-job records are never retained); the CDF/series
-// figures need the records, so -stream implies -only summary.
+// stdout; -csv switches from aligned columns to CSV. Per-job records are
+// kept only for an approach whose CDF or series figures are selected;
+// -only summary computes the summary tables from the streamed aggregates
+// alone.
 package main
 
 import (
@@ -32,7 +32,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "base random seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned columns")
 	only := flag.String("only", "", "comma-separated subset (table1,6,7a..7f,8a..8f,summary)")
-	stream := flag.Bool("stream", false, "compute the summary tables on the streaming aggregation path (constant memory, no per-job records; implies -only summary)")
 	flag.Parse()
 
 	if *version {
@@ -56,47 +55,6 @@ func main() {
 	}
 	selected := func(k string) bool { return len(want) == 0 || want[k] }
 
-	if *stream {
-		// The CDF/series figures need the per-job records that -stream
-		// deliberately never retains, and the summary tables are plain
-		// aligned text in batch mode too — reject the combinations
-		// instead of silently ignoring the flags.
-		if *csv {
-			fmt.Fprintln(os.Stderr, "figures: -csv formats figure output; -stream produces summary tables only")
-			os.Exit(1)
-		}
-		if *only != "" && !(len(want) == 1 && want["summary"]) {
-			fmt.Fprintln(os.Stderr, "figures: -stream computes no figures; only -only summary is compatible")
-			os.Exit(1)
-		}
-		base := experiment.Config{Runs: *runs, Parallelism: *par, Seed: *seed}
-		for _, ap := range []struct {
-			name   string
-			fig    string
-			combos []experiment.Combo
-		}{
-			{"PRA", "7", experiment.PRACombos()},
-			{"PWA", "8", experiment.PWACombos()},
-		} {
-			// One flattened pool per approach, like the batch sweep.
-			results, err := experiment.RunSetStream(context.Background(), ap.name, ap.combos, base)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("# %s summary (Fig. %s aggregate, streamed)\n", ap.name, ap.fig)
-			fmt.Printf("%-14s %8s %10s %10s %10s %10s %8s\n",
-				"combo", "jobs", "mean-exec", "mean-resp", "mean-util", "ops/run", "rejected")
-			for i, res := range results {
-				fmt.Printf("%-14s %8d %10.1f %10.1f %10.1f %10.1f %8d\n",
-					ap.combos[i].Label, res.Jobs(), res.MeanExecution(), res.MeanResponse(),
-					res.MeanUtilization(), res.TotalOps(), res.Rejected())
-			}
-			fmt.Println()
-		}
-		return
-	}
-
 	emit := func(fig experiment.Figure) {
 		if *csv {
 			fmt.Print(fig.CSV())
@@ -114,77 +72,65 @@ func main() {
 		emit(experiment.Fig6())
 	}
 
-	needPRA := false
-	for _, k := range []string{"7a", "7b", "7c", "7d", "7e", "7f", "summary"} {
-		if selected(k) {
-			needPRA = true
-		}
-	}
-	needPWA := false
-	for _, k := range []string{"8a", "8b", "8c", "8d", "8e", "8f", "summary"} {
-		if selected(k) {
-			needPWA = true
-		}
-	}
-
 	base := experiment.Config{Runs: *runs, Parallelism: *par, Seed: *seed}
+	for _, ap := range []struct {
+		name, fig string
+		combos    []experiment.Combo
+		end, step float64 // the Figs. e/f time axis
+	}{
+		{"PRA", "7", experiment.PRACombos(), 40000, 500},
+		{"PWA", "8", experiment.PWACombos(), 12000, 200},
+	} {
+		figs := []struct {
+			id   string
+			draw func(*experiment.Set, string) experiment.Figure
+		}{
+			{ap.fig + "a", (*experiment.Set).FigSizesAvg},
+			{ap.fig + "b", (*experiment.Set).FigSizesMax},
+			{ap.fig + "c", (*experiment.Set).FigExecTimes},
+			{ap.fig + "d", (*experiment.Set).FigResponseTimes},
+			{ap.fig + "e", func(s *experiment.Set, id string) experiment.Figure { return s.FigUtilization(id, 0, ap.end, ap.step) }},
+			{ap.fig + "f", func(s *experiment.Set, id string) experiment.Figure { return s.FigOps(id, 0, ap.end, ap.step) }},
+		}
+		records := false
+		for _, f := range figs {
+			records = records || selected(f.id)
+		}
+		if !records && !selected("summary") {
+			continue
+		}
+		set, err := runSet(ap.name, ap.combos, base, records)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "figures:", err)
+			os.Exit(1)
+		}
+		for _, f := range figs {
+			if selected(f.id) {
+				emit(f.draw(set, f.id))
+			}
+		}
+		if selected("summary") {
+			fmt.Printf("# %s summary (Fig. %s aggregate)\n", ap.name, ap.fig)
+			fmt.Println(set.SummaryTable())
+		}
+	}
+}
 
-	if needPRA {
-		set, err := experiment.RunSet("PRA", experiment.PRACombos(), base)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		if selected("7a") {
-			emit(set.FigSizesAvg("7a"))
-		}
-		if selected("7b") {
-			emit(set.FigSizesMax("7b"))
-		}
-		if selected("7c") {
-			emit(set.FigExecTimes("7c"))
-		}
-		if selected("7d") {
-			emit(set.FigResponseTimes("7d"))
-		}
-		if selected("7e") {
-			emit(set.FigUtilization("7e", 0, 40000, 500))
-		}
-		if selected("7f") {
-			emit(set.FigOps("7f", 0, 40000, 500))
-		}
-		if selected("summary") {
-			fmt.Println("# PRA summary (Fig. 7 aggregate)")
-			fmt.Println(set.SummaryTable())
-		}
+// runSet runs an approach's sweep. The CDF and series figures read
+// per-job records and per-run series, so only they keep records; the
+// summary table needs nothing but each point's streamed aggregate.
+func runSet(approach string, combos []experiment.Combo, base experiment.Config, records bool) (*experiment.Set, error) {
+	if records {
+		return experiment.RunSet(approach, combos, base)
 	}
-	if needPWA {
-		set, err := experiment.RunSet("PWA", experiment.PWACombos(), base)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		if selected("8a") {
-			emit(set.FigSizesAvg("8a"))
-		}
-		if selected("8b") {
-			emit(set.FigSizesMax("8b"))
-		}
-		if selected("8c") {
-			emit(set.FigExecTimes("8c"))
-		}
-		if selected("8d") {
-			emit(set.FigResponseTimes("8d"))
-		}
-		if selected("8e") {
-			emit(set.FigUtilization("8e", 0, 12000, 200))
-		}
-		if selected("8f") {
-			emit(set.FigOps("8f", 0, 12000, 200))
-		}
-		if selected("summary") {
-			fmt.Println("# PWA summary (Fig. 8 aggregate)")
-			fmt.Println(set.SummaryTable())
-		}
+	results, err := experiment.RunSetStream(context.Background(), approach, combos, base)
+	if err != nil {
+		return nil, err
 	}
+	set := &experiment.Set{Approach: approach, Results: make(map[string]*experiment.Result, len(combos))}
+	for i, c := range combos {
+		set.Results[c.Label] = &experiment.Result{StreamResult: results[i]}
+		set.Labels = append(set.Labels, c.Label)
+	}
+	return set, nil
 }

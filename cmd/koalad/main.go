@@ -87,6 +87,16 @@ func fatal(log *slog.Logger, msg string, attrs ...any) {
 	os.Exit(1)
 }
 
+// Connection limits for clients the server does not control: a client
+// that trickles its request header is dropped after readHeaderTimeout, an
+// idle keep-alive connection after idleTimeout, and a header larger than
+// maxHeaderBytes is refused. Request bodies are bounded by the handlers.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
 func main() {
 	version := flag.Bool("version", false, "print version and exit")
 	addr := flag.String("addr", ":8080", "listen address")
@@ -235,7 +245,15 @@ func main() {
 		}
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+		// No WriteTimeout: an NDJSON follow stream lives as long as its
+		// run, which may be minutes.
+	}
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Info("koalad: listening",

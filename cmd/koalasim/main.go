@@ -1,21 +1,25 @@
 // Command koalasim runs one malleability experiment on the simulated DAS-3
-// testbed and reports per-job metrics and aggregates.
+// testbed and reports aggregate metrics over all of its jobs.
 //
 // Usage:
 //
 //	koalasim [-workload Wm|Wmr|W'm|W'mr] [-policy FPSMA|EGS|EQUI|FOLD]
 //	         [-approach PRA|PWA] [-placement WF|CF|CM|FCM]
 //	         [-runs N] [-parallel N] [-seed S] [-reserve N] [-poll SEC]
-//	         [-no-background] [-csv FILE] [-stream] [-version]
+//	         [-no-background] [-csv FILE] [-version]
 //	         [-workers http://hostA:8080,http://hostB:8080]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //	         [-trace FILE] [-simstats]
 //
+// The report is the experiment's streamed summary: counts and moments
+// are exact, quantiles come from a mergeable sketch (within 1%). Per-job
+// records are kept only for -csv.
+//
 // With -workers the experiment executes on a remote koalad worker
 // (chosen by config fingerprint) instead of in-process, falling back
-// to local execution if the worker is unreachable; results are
-// byte-identical either way. Remote execution uses the streaming
-// aggregation path, so it requires -stream.
+// to local execution if the worker is unreachable; the summary is
+// byte-identical either way. Per-job records never cross the wire, so
+// -workers excludes -csv.
 //
 // -trace writes the run's lifecycle spans (submit, execute, per-
 // replication; plus any spans a remote worker streamed back) as JSON.
@@ -39,7 +43,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -60,9 +63,8 @@ func run() int {
 	reserve := flag.Int("reserve", 0, "growth reserve per cluster for local users")
 	poll := flag.Float64("poll", 0, "scheduler poll interval in seconds (0 = default)")
 	noBg := flag.Bool("no-background", false, "disable bypassing local users")
-	csvPath := flag.String("csv", "", "write per-job records to this CSV file")
-	stream := flag.Bool("stream", false, "stream per-replication aggregates instead of pooling records (constant memory; quantiles are sketch-approximate; incompatible with -csv)")
-	workers := flag.String("workers", "", "comma-separated koalad worker base URLs: execute the experiment on a remote worker instead of in-process (requires -stream)")
+	csvPath := flag.String("csv", "", "write per-job records to this CSV file (in-process execution only)")
+	workers := flag.String("workers", "", "comma-separated koalad worker base URLs: execute the experiment on a remote worker instead of in-process")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the experiment) to this file")
 	tracePath := flag.String("trace", "", "write the run's lifecycle trace (JSON spans) to this file")
@@ -82,12 +84,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "koalasim: -runs must be at least 1 (got %d)\n", *runs)
 		return 1
 	}
-	if *stream && *csvPath != "" {
-		fmt.Fprintln(os.Stderr, "koalasim: -csv needs per-job records, which -stream does not retain")
-		return 1
-	}
-	if *workers != "" && !*stream {
-		fmt.Fprintln(os.Stderr, "koalasim: -workers executes remotely on the streaming path; add -stream")
+	if *csvPath != "" && *workers != "" {
+		fmt.Fprintln(os.Stderr, "koalasim: -csv needs per-job records, which a remote worker does not send back; drop -workers")
 		return 1
 	}
 	if *simStats && *workers != "" {
@@ -198,60 +196,30 @@ func run() int {
 		fmt.Printf("sim horizon: %.1f sim-seconds\n", snap.SimHorizon)
 	}
 
-	if *stream {
-		var res *experiment.StreamResult
-		var err error
-		ctx := context.Background()
-		var execSpan string
-		if tr != nil {
-			name := "local"
-			if remote != nil {
-				name = remote.Name()
-			}
-			execSpan = tr.StartSpan(rootSpan, "execute", map[string]string{"backend": name})
-			ctx = obs.ContextWithSpanContext(ctx, obs.SpanContext{TraceID: tr.ID, SpanID: execSpan})
-			ctx = obs.ContextWithSpanSink(ctx, tr.Import)
-		}
-		if remote != nil {
-			res, err = remote.RunPoint(ctx, cfg, experiment.StreamHooks{})
-		} else {
-			res, err = experiment.RunStream(cfg)
-		}
-		if tr != nil {
-			tr.EndSpan(execSpan)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "koalasim:", err)
-			return 1
-		}
-		where := "streamed"
-		if remote != nil {
-			where = "streamed via workers"
-		}
-		// Print from the wire summary: identical for local and remote
-		// execution (remote results carry no in-process aggregate).
-		sum := res.Summary()
-		fmt.Printf("experiment : %s/%s/%s placement=%s runs=%d seed=%d (%s)\n",
-			*approach, *policy, spec.Name, *placement, *runs, *seed, where)
-		fmt.Printf("jobs       : %d finished, %d rejected\n", sum.Jobs, sum.Rejected)
-		fmt.Printf("exec time  : %s\n", sum.Exec)
-		fmt.Printf("response   : %s\n", sum.Response)
-		if sum.Malleable > 0 {
-			fmt.Printf("avg procs  : %s\n", sum.AvgProcs)
-			fmt.Printf("max procs  : %s\n", sum.MaxProcs)
-		}
-		fmt.Printf("mean util  : %.1f processors\n", sum.MeanUtilization)
-		fmt.Printf("ops/run    : %.1f malleability operations\n", sum.OpsPerRun)
-		printSimStats()
-		finishTrace()
-		return 0
-	}
-
+	ctx := context.Background()
 	var execSpan string
 	if tr != nil {
-		execSpan = tr.StartSpan(rootSpan, "execute", map[string]string{"backend": "local"})
+		name := "local"
+		if remote != nil {
+			name = remote.Name()
+		}
+		execSpan = tr.StartSpan(rootSpan, "execute", map[string]string{"backend": name})
+		ctx = obs.ContextWithSpanContext(ctx, obs.SpanContext{TraceID: tr.ID, SpanID: execSpan})
+		ctx = obs.ContextWithSpanSink(ctx, tr.Import)
 	}
-	res, err := experiment.Run(cfg)
+	var res *experiment.StreamResult
+	var records []metrics.JobRecord
+	switch {
+	case remote != nil:
+		res, err = remote.RunPoint(ctx, cfg, experiment.StreamHooks{})
+	case *csvPath != "":
+		var full *experiment.Result
+		if full, err = experiment.RunContext(ctx, cfg); err == nil {
+			res, records = full.StreamResult, full.Pooled
+		}
+	default:
+		res, err = experiment.RunStreamContext(ctx, cfg, experiment.StreamHooks{})
+	}
 	if tr != nil {
 		tr.EndSpan(execSpan)
 	}
@@ -260,23 +228,20 @@ func run() int {
 		return 1
 	}
 
+	// Print from the wire summary: identical for local and remote
+	// execution (remote results carry no in-process aggregate).
+	sum := res.Summary()
 	fmt.Printf("experiment : %s/%s/%s placement=%s runs=%d seed=%d\n",
 		*approach, *policy, spec.Name, *placement, *runs, *seed)
-	fmt.Printf("jobs       : %d finished", len(res.Pooled))
-	rejected := 0
-	for _, run := range res.Runs {
-		rejected += run.Rejected
+	fmt.Printf("jobs       : %d finished, %d rejected\n", sum.Jobs, sum.Rejected)
+	fmt.Printf("exec time  : %s\n", sum.Exec)
+	fmt.Printf("response   : %s\n", sum.Response)
+	if sum.Malleable > 0 {
+		fmt.Printf("avg procs  : %s\n", sum.AvgProcs)
+		fmt.Printf("max procs  : %s\n", sum.MaxProcs)
 	}
-	fmt.Printf(", %d rejected\n", rejected)
-	fmt.Printf("exec time  : %s\n", stats.Summarize(metrics.ExecTimesOf(res.Pooled)))
-	fmt.Printf("response   : %s\n", stats.Summarize(metrics.ResponseTimesOf(res.Pooled)))
-	mall := res.MalleableRecords()
-	if len(mall) > 0 {
-		fmt.Printf("avg procs  : %s\n", stats.Summarize(metrics.AvgProcsOf(mall)))
-		fmt.Printf("max procs  : %s\n", stats.Summarize(metrics.MaxProcsOf(mall)))
-	}
-	fmt.Printf("mean util  : %.1f processors\n", res.MeanUtilization())
-	fmt.Printf("ops/run    : %.1f malleability operations\n", res.TotalOps())
+	fmt.Printf("mean util  : %.1f processors\n", sum.MeanUtilization)
+	fmt.Printf("ops/run    : %.1f malleability operations\n", sum.OpsPerRun)
 	printSimStats()
 	finishTrace()
 
@@ -286,8 +251,11 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "koalasim:", err)
 			return 1
 		}
-		defer f.Close()
-		if err := metrics.WriteCSV(f, res.Pooled); err != nil {
+		err = metrics.WriteCSV(f, records)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "koalasim:", err)
 			return 1
 		}

@@ -20,9 +20,8 @@
 // whose Summary() encoding is byte-identical to Local's for the same
 // config — regardless of shard assignment, failover, or whether a
 // worker answered from its content-addressed store instead of
-// simulating. The batch drivers (experiment.Run/RunSet) stay local
-// only: they retain per-job records, which deliberately never cross
-// the wire.
+// simulating. Per-job records (what experiment.Run/RunSet keep) never
+// cross the wire, so those drivers stay local only.
 package backend
 
 import (

@@ -13,7 +13,6 @@ import (
 	"repro/internal/gram"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -33,11 +32,11 @@ type Config struct {
 	// Runs is the number of independent runs to pool (default 4).
 	Runs int
 	// Parallelism bounds the number of concurrently executing simulations:
-	// Run pools the independent seeded runs, and RunSet flattens all its
-	// (combo, replication) pairs into one pool of this size. 0 means one
-	// worker per CPU; 1 runs serially. Results are identical to serial
-	// execution for any value: each run owns its seed and its engine, and
-	// the pool writes into order-preserving slots.
+	// a point's replications run on a pool of this size, and RunSet and
+	// RunSetStream draw every combo's replications from one shared budget
+	// of this size. 0 means one worker per CPU; 1 runs serially. Results
+	// are identical to serial execution for any value: each replication
+	// owns its seed and its engine, and results merge in replication order.
 	Parallelism int
 	// Seed is the base seed; run i uses Seed+i.
 	Seed uint64
@@ -144,10 +143,13 @@ type RunResult struct {
 	PlaceTries int
 }
 
-// Result pools the runs of one experiment point.
+// Result is a point's streaming result plus the per-job records the
+// figures need: the aggregate accessors (jobs, means, utilisation, ops,
+// rejected) come from the embedded StreamResult, and Runs/Pooled keep
+// every replication's RunResult.
 type Result struct {
-	Config Config
-	Runs   []*RunResult
+	*StreamResult
+	Runs []*RunResult
 	// Pooled concatenates the per-run job records (the paper's CDFs are
 	// computed over all jobs of all runs of a combination).
 	Pooled []metrics.JobRecord
@@ -184,79 +186,14 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // RunContext is Run with cancellation: a canceled ctx (or the first failing
-// run) stops the pool from dispatching further runs. The point's setup is
-// prepared once (Prepare) and shared read-only by every replication.
+// run) stops the pool from dispatching further runs. It is the streaming
+// point loop with per-job records kept.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	p, err := Prepare(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg = p.Config()
-	runs := make([]*RunResult, cfg.Runs)
-	err = parallel.ForEach(ctx, cfg.Runs, cfg.Parallelism, func(_ context.Context, i int) error {
-		r, err := p.RunOnce(cfg.Seed + uint64(i))
-		if err != nil {
-			return err
-		}
-		runs[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return newResult(cfg, runs), nil
-}
-
-// newResult assembles a Result from completed runs, concatenating their
-// records into Pooled in run order (the paper's CDFs are computed over all
-// jobs of all runs of a combination).
-func newResult(cfg Config, runs []*RunResult) *Result {
-	out := &Result{Config: cfg, Runs: runs}
-	for _, r := range runs {
-		out.Pooled = append(out.Pooled, r.Records...)
-	}
-	return out
+	return localPoint{keep: true}.run(ctx, cfg, StreamHooks{})
 }
 
 // MalleableRecords returns the pooled records restricted to malleable jobs
 // (the population whose sizes Figs. 7a/b and 8a/b report).
 func (r *Result) MalleableRecords() []metrics.JobRecord {
 	return metrics.OnlyMalleable(r.Pooled)
-}
-
-// MeanUtilization averages the time-averaged utilisation over the runs,
-// evaluated over each run's active span.
-func (r *Result) MeanUtilization() float64 {
-	if len(r.Runs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, run := range r.Runs {
-		if run.Makespan > 0 {
-			sum += run.Utilization.MeanOver(0, run.Makespan)
-		}
-	}
-	return sum / float64(len(r.Runs))
-}
-
-// MeanResponse returns the mean response time over pooled records.
-func (r *Result) MeanResponse() float64 {
-	return stats.Mean(metrics.ResponseTimesOf(r.Pooled))
-}
-
-// MeanExecution returns the mean execution time over pooled records.
-func (r *Result) MeanExecution() float64 {
-	return stats.Mean(metrics.ExecTimesOf(r.Pooled))
-}
-
-// TotalOps averages the number of malleability operations per run.
-func (r *Result) TotalOps() float64 {
-	if len(r.Runs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, run := range r.Runs {
-		sum += run.TotalOps
-	}
-	return sum / float64(len(r.Runs))
 }

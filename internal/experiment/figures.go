@@ -148,7 +148,7 @@ func RunSet(approach string, combos []Combo, base Config) (*Set, error) {
 // ComboConfigs expands an approach's combos into per-combo configs the
 // way RunSet does (PWA background preset, approach/policy/workload and
 // name filled in, defaults resolved). It is the shared front half of
-// RunSetContext and the streaming sweep of cmd/figures -stream.
+// RunSetContext and RunSetStream.
 func ComboConfigs(approach string, combos []Combo, base Config) []Config {
 	if base.Background == nil && !base.NoBackground && approach == "PWA" {
 		// The PWA experiments ran under much heavier shared-testbed
@@ -168,41 +168,22 @@ func ComboConfigs(approach string, combos []Combo, base Config) []Config {
 	return cfgs
 }
 
-// RunSetContext is RunSet with cancellation. Every (combo, replication)
-// pair is an independent simulation, so the whole sweep flattens into one
-// task space executed on a single bounded pool — base.Parallelism bounds
-// the *total* number of concurrent simulations, not workers per level.
-// The Labels order (and therefore every figure's series order) and each
-// combo's pooled record order match the serial loops exactly.
+// RunSetContext is RunSet with cancellation: RunSetStream's fan-out with
+// per-job records kept. Every combo's replications draw from one shared
+// budget of base.Parallelism concurrent simulations. The Labels order
+// (and therefore every figure's series order) and each combo's pooled
+// record order match the serial loops exactly.
 func RunSetContext(ctx context.Context, approach string, combos []Combo, base Config) (*Set, error) {
-	cfgs := ComboConfigs(approach, combos, base)
-
-	type task struct{ combo, run int }
-	var tasks []task
-	runs := make([][]*RunResult, len(combos))
-	for c, cfg := range cfgs {
-		runs[c] = make([]*RunResult, cfg.Runs)
-		for r := 0; r < cfg.Runs; r++ {
-			tasks = append(tasks, task{combo: c, run: r})
-		}
-	}
-	err := parallel.ForEach(ctx, len(tasks), base.Parallelism, func(_ context.Context, i int) error {
-		t := tasks[i]
-		cfg := cfgs[t.combo]
-		r, err := RunOnce(cfg, cfg.Seed+uint64(t.run))
-		if err != nil {
-			return err
-		}
-		runs[t.combo][t.run] = r
-		return nil
+	p := localPoint{lim: parallel.NewLimiter(base.Parallelism), keep: true}
+	results, err := eachCombo(ctx, ComboConfigs(approach, combos, base), func(ctx context.Context, cfg Config) (*Result, error) {
+		return p.run(ctx, cfg, StreamHooks{})
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	set := &Set{Approach: approach, Results: make(map[string]*Result)}
+	set := &Set{Approach: approach, Results: make(map[string]*Result, len(combos))}
 	for c, combo := range combos {
-		set.Results[combo.Label] = newResult(cfgs[c], runs[c])
+		set.Results[combo.Label] = results[c]
 		set.Labels = append(set.Labels, combo.Label)
 	}
 	return set, nil
@@ -316,13 +297,9 @@ func (s *Set) SummaryTable() string {
 	sort.Strings(labels)
 	for _, label := range labels {
 		r := s.Results[label]
-		rejected := 0
-		for _, run := range r.Runs {
-			rejected += run.Rejected
-		}
 		fmt.Fprintf(&b, "%-14s %8d %10.1f %10.1f %10.1f %10.1f %8d\n",
-			label, len(r.Pooled), r.MeanExecution(), r.MeanResponse(),
-			r.MeanUtilization(), r.TotalOps(), rejected)
+			label, r.Jobs(), r.MeanExecution(), r.MeanResponse(),
+			r.MeanUtilization(), r.TotalOps(), r.Rejected())
 	}
 	return b.String()
 }

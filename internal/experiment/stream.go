@@ -10,15 +10,15 @@ import (
 	"repro/internal/stats"
 )
 
-// This file is the streaming twin of Run/RunContext: the same seeded
-// replications on the same worker pool, but each replication's job
-// records are folded into a constant-memory metrics.Aggregate and
-// dropped before the next replication of that worker starts. Nothing
+// This file holds the package's one replication loop (localPoint.run).
+// Each replication's job records are folded into a constant-memory
+// metrics.Aggregate and, unless the caller asked to keep them (Run,
+// RunSet: the figures and the CSV writer), dropped before the next
+// replication of that worker starts. Without kept records nothing
 // proportional to the job count survives a replication, which is what
-// lets koalad hold many concurrent sweeps, and what the -stream flag
-// of the batch CLIs exposes for very large runs. Aggregates are merged
-// in replication order, so the output is deterministic for a given
-// config and seed regardless of parallelism.
+// lets koalad hold many concurrent sweeps. Aggregates are merged in
+// replication order, so the output is deterministic for a given config
+// and seed regardless of parallelism.
 
 // Replication is the compact summary of one completed replication —
 // what koalad streams as a progress event, and all that RunStream
@@ -105,8 +105,8 @@ type StreamHooks struct {
 	OnDone func(Replication)
 }
 
-// RunStream executes cfg.Runs seeded replications like Run, but streams
-// each replication through an aggregate instead of pooling records.
+// RunStream executes cfg.Runs seeded replications like Run, but keeps
+// only their aggregate, not their per-job records.
 func RunStream(cfg Config) (*StreamResult, error) {
 	return RunStreamContext(context.Background(), cfg, StreamHooks{})
 }
@@ -123,18 +123,32 @@ type PointRunner interface {
 	RunPoint(ctx context.Context, cfg Config, hooks StreamHooks) (*StreamResult, error)
 }
 
-// localPoint is the in-process PointRunner: the PR-1 bounded worker
-// pool over the point's independent seeded replications, merged in
+// localPoint is the in-process PointRunner: the bounded worker pool
+// over the point's independent seeded replications, merged in
 // replication order (deterministic for any parallelism).
 type localPoint struct {
 	// lim, when non-nil, replaces the per-point cfg.Parallelism pool
-	// with a shared budget: concurrent RunPoint calls draw replication
-	// slots from the same limiter, so a whole sweep is bounded
-	// globally no matter how its points interleave.
+	// with a shared budget: concurrent calls draw replication slots
+	// from the same limiter, so a whole sweep is bounded globally no
+	// matter how its points interleave.
 	lim parallel.Limiter
+	// keep retains every replication's RunResult, per-job records
+	// included, in the Result. Only Run and RunSet set it; records
+	// never leave the process.
+	keep bool
 }
 
 func (p localPoint) RunPoint(ctx context.Context, cfg Config, hooks StreamHooks) (*StreamResult, error) {
+	res, err := p.run(ctx, cfg, hooks)
+	if err != nil {
+		return nil, err
+	}
+	return res.StreamResult, nil
+}
+
+// run is the package's one replication loop: Run, RunSet, RunStream*,
+// backend.Local and koalad all reach it.
+func (p localPoint) run(ctx context.Context, cfg Config, hooks StreamHooks) (*Result, error) {
 	// One Prepare per point: the replications share the immutable setup
 	// (resolved lookups, prepared workload spec, site index) and differ
 	// only in their seeds.
@@ -145,12 +159,19 @@ func (p localPoint) RunPoint(ctx context.Context, cfg Config, hooks StreamHooks)
 	cfg = prep.Config()
 	reps := make([]Replication, cfg.Runs)
 	aggs := make([]*metrics.Aggregate, cfg.Runs)
+	var runs []*RunResult
+	if p.keep {
+		runs = make([]*RunResult, cfg.Runs)
+	}
 	body := func(_ context.Context, i int) error {
-		rep, agg, err := streamOne(prep, i, hooks)
+		r, rep, agg, err := streamOne(prep, i, hooks)
 		if err != nil {
 			return err
 		}
 		reps[i], aggs[i] = rep, agg
+		if runs != nil {
+			runs[i] = r
+		}
 		return nil
 	}
 	if p.lim != nil {
@@ -161,15 +182,18 @@ func (p localPoint) RunPoint(ctx context.Context, cfg Config, hooks StreamHooks)
 	if err != nil {
 		return nil, err
 	}
-	return newStreamResult(cfg, reps, aggs), nil
+	res := &Result{StreamResult: newStreamResult(cfg, reps, aggs), Runs: runs}
+	for _, r := range runs {
+		res.Pooled = append(res.Pooled, r.Records...)
+	}
+	return res, nil
 }
 
 // streamOne executes replication i against the point's prepared setup
 // and reduces it to its compact form. A panicking replication must not
-// unwind the worker goroutine: the streaming path serves long-running
-// daemons (koalad), where one bad run may fail but never take the
-// process down.
-func streamOne(prep *Prepared, i int, hooks StreamHooks) (rep Replication, agg *metrics.Aggregate, err error) {
+// unwind the worker goroutine: it fails its experiment with an error,
+// and never takes the process (koalad, or a CLI) down.
+func streamOne(prep *Prepared, i int, hooks StreamHooks) (r *RunResult, rep Replication, agg *metrics.Aggregate, err error) {
 	cfg := prep.Config()
 	defer func() {
 		if p := recover(); p != nil {
@@ -180,15 +204,15 @@ func streamOne(prep *Prepared, i int, hooks StreamHooks) (rep Replication, agg *
 	if hooks.OnStart != nil {
 		hooks.OnStart(i, seed)
 	}
-	r, err := prep.RunOnce(seed)
+	r, err = prep.RunOnce(seed)
 	if err != nil {
-		return Replication{}, nil, err
+		return nil, Replication{}, nil, err
 	}
 	rep, agg = summarizeReplication(i, r)
 	if hooks.OnDone != nil {
 		hooks.OnDone(rep)
 	}
-	return rep, agg, nil
+	return r, rep, agg, nil
 }
 
 // newStreamResult merges per-replication aggregates in replication
@@ -215,10 +239,17 @@ func RunStreamContext(ctx context.Context, cfg Config, hooks StreamHooks) (*Stre
 // runner's job (backend.Local shares one replication budget across
 // points; backend.Remote shards whole points across worker daemons).
 func RunSetStreamVia(ctx context.Context, runner PointRunner, approach string, combos []Combo, base Config) ([]*StreamResult, error) {
-	cfgs := ComboConfigs(approach, combos, base)
-	out := make([]*StreamResult, len(cfgs))
+	return eachCombo(ctx, ComboConfigs(approach, combos, base), func(ctx context.Context, cfg Config) (*StreamResult, error) {
+		return runner.RunPoint(ctx, cfg, StreamHooks{})
+	})
+}
+
+// eachCombo runs point on every combo config, all in flight at once,
+// and returns the results in combo order.
+func eachCombo[T any](ctx context.Context, cfgs []Config, point func(context.Context, Config) (T, error)) ([]T, error) {
+	out := make([]T, len(cfgs))
 	err := parallel.ForEach(ctx, len(cfgs), len(cfgs), func(ctx context.Context, c int) error {
-		res, err := runner.RunPoint(ctx, cfgs[c], StreamHooks{})
+		res, err := point(ctx, cfgs[c])
 		if err != nil {
 			return err
 		}
@@ -231,11 +262,10 @@ func RunSetStreamVia(ctx context.Context, runner PointRunner, approach string, c
 	return out, nil
 }
 
-// RunSetStream is the streaming counterpart of RunSet: every (combo,
+// RunSetStream is RunSet without per-job records: every (combo,
 // replication) pair of the sweep draws from one shared pool —
-// base.Parallelism bounds the total number of concurrent simulations,
-// exactly like the batch sweep — returning one StreamResult per combo,
-// in combo order.
+// base.Parallelism bounds the total number of concurrent simulations —
+// returning one StreamResult per combo, in combo order.
 func RunSetStream(ctx context.Context, approach string, combos []Combo, base Config) ([]*StreamResult, error) {
 	lim := parallel.NewLimiter(base.Parallelism)
 	return RunSetStreamVia(ctx, localPoint{lim: lim}, approach, combos, base)
@@ -266,8 +296,8 @@ func (r *StreamResult) Rejected() int {
 	return n
 }
 
-// MeanUtilization averages the per-replication utilisation, exactly as
-// the batch Result.MeanUtilization does.
+// MeanUtilization averages the per-replication utilisation, each taken
+// over its replication's active span.
 func (r *StreamResult) MeanUtilization() float64 {
 	if len(r.Replications) == 0 {
 		return 0
@@ -279,8 +309,7 @@ func (r *StreamResult) MeanUtilization() float64 {
 	return sum / float64(len(r.Replications))
 }
 
-// TotalOps averages the malleability operations per replication,
-// exactly as the batch Result.TotalOps does.
+// TotalOps averages the malleability operations per replication.
 func (r *StreamResult) TotalOps() float64 {
 	if len(r.Replications) == 0 {
 		return 0
@@ -323,7 +352,7 @@ type StreamSummary struct {
 
 	// Exec/Response summarize all jobs; AvgProcs/MaxProcs the malleable
 	// subset. Moments are exact, quantiles carry the sketch's relative
-	// error.
+	// error and are clamped to [min, max].
 	Exec     stats.Summary `json:"exec"`
 	Response stats.Summary `json:"response"`
 	AvgProcs stats.Summary `json:"avg_procs"`
@@ -347,10 +376,10 @@ func (r *StreamResult) Summary() StreamSummary {
 		Rejected:        r.Rejected(),
 		MeanUtilization: r.MeanUtilization(),
 		OpsPerRun:       r.TotalOps(),
-		Exec:            r.Agg.Exec.Summary(),
-		Response:        r.Agg.Response.Summary(),
-		AvgProcs:        r.Agg.AvgProcs.Summary(),
-		MaxProcs:        r.Agg.MaxProcs.Summary(),
+		Exec:            r.Agg.Exec.Summary().Clamped(),
+		Response:        r.Agg.Response.Summary().Clamped(),
+		AvgProcs:        r.Agg.AvgProcs.Summary().Clamped(),
+		MaxProcs:        r.Agg.MaxProcs.Summary().Clamped(),
 		Replications:    r.Replications,
 	}
 }

@@ -3,9 +3,12 @@ package experiment
 import (
 	"context"
 	"math"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 )
@@ -18,10 +21,11 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / math.Max(scale, 1)
 }
 
-// TestRunStreamMatchesBatch is the determinism regression pinning the
-// streaming aggregation path to the batch engine: same config and seed
-// must yield the same metrics whether records are pooled or streamed.
-func TestRunStreamMatchesBatch(t *testing.T) {
+// TestKeptRecordsDoNotPerturbAggregate pins the record sink of the one
+// replication loop: keeping per-job records (Run) must leave the point's
+// aggregate byte-identical to the record-free path (RunStream), and the
+// kept records must be the ones the aggregate counted.
+func TestKeptRecordsDoNotPerturbAggregate(t *testing.T) {
 	cfg := Config{
 		Workload: smallWorkload("small", 15, 60, 1)(1),
 		Policy:   "FPSMA",
@@ -30,7 +34,7 @@ func TestRunStreamMatchesBatch(t *testing.T) {
 		Runs:     3,
 		Seed:     5,
 	}
-	batch, err := Run(cfg)
+	kept, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,52 +42,39 @@ func TestRunStreamMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if stream.Jobs() != len(batch.Pooled) {
-		t.Fatalf("stream jobs = %d, batch %d", stream.Jobs(), len(batch.Pooled))
+	a, err := EncodeSummary(kept.Summary())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stream.Agg.Malleable != len(batch.MalleableRecords()) {
-		t.Fatalf("stream malleable = %d, batch %d", stream.Agg.Malleable, len(batch.MalleableRecords()))
+	b, err := EncodeSummary(stream.Summary())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Per-replication scalars follow the exact same float operations in
-	// the same order, so they are bit-identical.
-	if got, want := stream.MeanUtilization(), batch.MeanUtilization(); got != want {
-		t.Errorf("MeanUtilization: stream %v, batch %v", got, want)
-	}
-	if got, want := stream.TotalOps(), batch.TotalOps(); got != want {
-		t.Errorf("TotalOps: stream %v, batch %v", got, want)
-	}
-	// Pooled means differ only by summation associativity (per-rep
-	// partial sums), i.e. a few ulps.
-	if d := relDiff(stream.MeanExecution(), batch.MeanExecution()); d > 1e-12 {
-		t.Errorf("MeanExecution: stream %v, batch %v (rel %g)", stream.MeanExecution(), batch.MeanExecution(), d)
-	}
-	if d := relDiff(stream.MeanResponse(), batch.MeanResponse()); d > 1e-12 {
-		t.Errorf("MeanResponse: stream %v, batch %v (rel %g)", stream.MeanResponse(), batch.MeanResponse(), d)
-	}
-	// Sketch quantiles stay within the sketch's relative error of the
-	// batch nearest-rank values.
-	execs := metrics.ExecTimesOf(batch.Pooled)
-	med := stream.Agg.Exec.Sketch.Quantile(0.5)
-	if d := relDiff(med, stats.Percentile(execs, 50)); d > 3*stats.DefaultSketchAccuracy {
-		t.Errorf("exec median: stream %v, batch %v (rel %g)", med, stats.Percentile(execs, 50), d)
+	if string(a) != string(b) {
+		t.Fatalf("keeping records changed the summary:\n kept %s\nstream %s", a, b)
 	}
 
-	// Per-replication summaries line up with the batch runs.
-	if len(stream.Replications) != len(batch.Runs) {
-		t.Fatalf("replications = %d, want %d", len(stream.Replications), len(batch.Runs))
+	if kept.Jobs() != len(kept.Pooled) || len(kept.Runs) != cfg.Runs {
+		t.Fatalf("kept %d records over %d runs, aggregate counted %d jobs", len(kept.Pooled), len(kept.Runs), kept.Jobs())
 	}
-	for i, rep := range stream.Replications {
-		run := batch.Runs[i]
+	for i, rep := range kept.Replications {
+		run := kept.Runs[i]
 		if rep.Seed != run.Seed || rep.Jobs != len(run.Records) || rep.Makespan != run.Makespan {
-			t.Errorf("replication %d diverges: %+v vs seed=%d jobs=%d makespan=%v",
+			t.Errorf("replication %d diverges from its kept run: %+v vs seed=%d jobs=%d makespan=%v",
 				i, rep, run.Seed, len(run.Records), run.Makespan)
 		}
 	}
+	// Sketch quantiles stay within the sketch's relative error of the
+	// exact nearest-rank values over the kept records.
+	execs := metrics.ExecTimesOf(kept.Pooled)
+	med := stream.Agg.Exec.Sketch.Quantile(0.5)
+	if d := relDiff(med, stats.Percentile(execs, 50)); d > 3*stats.DefaultSketchAccuracy {
+		t.Errorf("exec median: sketch %v, exact %v (rel %g)", med, stats.Percentile(execs, 50), d)
+	}
 }
 
-// TestRunStreamDeterministicAcrossParallelism pins that the merged
-// aggregate does not depend on completion order.
+// TestRunStreamDeterministicAcrossParallelism checks the record-free path:
+// the streamed aggregate of a point does not depend on the worker count.
 func TestRunStreamDeterministicAcrossParallelism(t *testing.T) {
 	cfg := Config{
 		Workload: smallWorkload("small", 10, 60, 1)(1),
@@ -113,6 +104,17 @@ func TestRunStreamDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if a.MeanUtilization() != b.MeanUtilization() {
 		t.Error("utilisation differs across parallelism")
+	}
+	sa, err := EncodeSummary(a.Summary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := EncodeSummary(b.Summary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(sa) != string(sb) {
+		t.Fatalf("streamed summaries differ across parallelism:\nserial:   %s\nparallel: %s", sa, sb)
 	}
 }
 
@@ -174,6 +176,13 @@ func TestRunStreamRetainsNoRecords(t *testing.T) {
 	if sum.Exec.N != 16 || sum.Exec.Mean <= 0 || sum.Exec.Median <= 0 {
 		t.Fatalf("exec summary = %+v", sum.Exec)
 	}
+	for _, s := range []stats.Summary{sum.Exec, sum.Response, sum.AvgProcs, sum.MaxProcs} {
+		for _, q := range []float64{s.P25, s.Median, s.P75, s.P90} {
+			if q < s.Min || q > s.Max {
+				t.Errorf("quantile %v outside [%v, %v] in %+v", q, s.Min, s.Max, s)
+			}
+		}
+	}
 }
 
 func TestRunStreamPropagatesErrors(t *testing.T) {
@@ -191,5 +200,42 @@ func TestRunStreamPropagatesErrors(t *testing.T) {
 	good := Config{Workload: smallWorkload("small", 2, 60, 1)(1), Grid: smallGrid, Runs: 2}
 	if _, err := RunStreamContext(ctx, good, StreamHooks{}); err == nil {
 		t.Fatal("canceled context did not error")
+	}
+}
+
+// TestPanickingReplicationIsAnError pins that a replication which panics
+// fails its experiment with an error on every driver instead of unwinding
+// a worker goroutine and taking the process down. The grid builder serves
+// Prepare's one probe call and panics on every replication's call after it.
+func TestPanickingReplicationIsAnError(t *testing.T) {
+	panicky := func() func() *cluster.Multicluster {
+		var calls atomic.Int64
+		return func() *cluster.Multicluster {
+			if calls.Add(1) > 1 {
+				panic("grid builder exploded")
+			}
+			return smallGrid()
+		}
+	}
+	cfg := func() Config {
+		return Config{Workload: smallWorkload("boom", 4, 60, 1)(1), Grid: panicky(), Runs: 2, Seed: 1}
+	}
+	combos := []Combo{{Policy: "FPSMA", Workload: smallWorkload("boom", 4, 60, 1), Label: "FPSMA/boom"}}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Run", func() error { _, err := Run(cfg()); return err }},
+		{"RunStream", func() error { _, err := RunStream(cfg()); return err }},
+		{"RunSet", func() error {
+			_, err := RunSet("PRA", combos, Config{Grid: panicky(), Runs: 2, Seed: 1})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); err == nil || !strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("err = %v, want a replication panic error", err)
+			}
+		})
 	}
 }

@@ -7,7 +7,7 @@ import (
 // Aggregate is the streaming counterpart of a pooled []JobRecord: it
 // folds finished-job records into constant-memory accumulators (exact
 // moments plus quantile sketches, see stats.Stream) so the koalad
-// server and the -stream CLI mode can summarize arbitrarily large
+// server and the experiment drivers can summarize arbitrarily large
 // sweeps without retaining per-job records. Aggregates from independent
 // replications Merge deterministically when merged in a fixed order.
 type Aggregate struct {

@@ -133,7 +133,7 @@ func TestEndToEndSubmitStreamAndCacheHit(t *testing.T) {
 		t.Fatalf("terminal event = %v", last)
 	}
 
-	// GET returns the stored summary, which matches the batch engine.
+	// GET returns the stored summary, byte-identical to an in-process run.
 	var got getResponse
 	resp, err := http.Get(ts.URL + "/v1/experiments/" + sr.ID)
 	if err != nil {
@@ -155,18 +155,20 @@ func TestEndToEndSubmitStreamAndCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := experiment.Run(cfg)
+	local, err := experiment.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Summary.Jobs != len(batch.Pooled) {
-		t.Errorf("server jobs = %d, batch %d", got.Summary.Jobs, len(batch.Pooled))
+	served, err := experiment.EncodeSummary(*got.Summary)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Summary.MeanUtilization != batch.MeanUtilization() {
-		t.Errorf("server mean util = %v, batch %v", got.Summary.MeanUtilization, batch.MeanUtilization())
+	want, err := experiment.EncodeSummary(local.Summary())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := got.Summary.Exec.Mean - batch.MeanExecution(); d > 1e-9 || d < -1e-9 {
-		t.Errorf("server mean exec = %v, batch %v", got.Summary.Exec.Mean, batch.MeanExecution())
+	if string(served) != string(want) {
+		t.Errorf("served summary differs from the in-process run:\nserved %s\nlocal  %s", served, want)
 	}
 
 	// Identical re-submission: cache hit, same run, no new simulation.

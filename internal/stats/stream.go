@@ -8,8 +8,8 @@ import (
 
 // This file is the streaming counterpart of the batch helpers above:
 // one-pass, constant-memory accumulators that replace "collect every
-// sample, then Summarize" on paths that must not materialize per-job
-// records (the koalad server and the -stream CLI mode). Two pieces
+// sample, then Summarize" where per-job records must not be
+// materialized (the koalad server, every record-free experiment point). Two pieces
 // compose: Online tracks the moments exactly (sum, mean, variance via
 // Welford, min, max) and Sketch tracks the distribution approximately
 // (log-bucketed histogram with bounded relative error, mergeable).
@@ -258,7 +258,9 @@ func (s *Stream) N() int { return s.Online.N() }
 
 // Summary renders the stream as the batch Summary shape: the moments
 // (N, Mean, StdDev, Min, Max) are exact, the quantiles (P25, Median,
-// P75, P90) come from the sketch and carry its relative error.
+// P75, P90) come from the sketch and carry its relative error; they are
+// raw bucket estimates (see Summary.Clamped), which perfbench's stored
+// result digests hash.
 func (s *Stream) Summary() Summary {
 	if s.Online.N() == 0 {
 		return Summary{}
@@ -274,4 +276,18 @@ func (s *Stream) Summary() Summary {
 		P90:    s.Sketch.Quantile(0.90),
 		Max:    s.Online.Max(),
 	}
+}
+
+// Clamped returns s with its quantiles clamped to [Min, Max]. A sketch
+// quantile is a bucket midpoint that can land just outside the observed
+// range (a sample of all 2s reads 1.99); the true quantile lies in that
+// range, so clamping only moves an estimate closer to it.
+func (s Summary) Clamped() Summary {
+	if s.N == 0 {
+		return s
+	}
+	for _, q := range []*float64{&s.P25, &s.Median, &s.P75, &s.P90} {
+		*q = min(max(*q, s.Min), s.Max)
+	}
+	return s
 }

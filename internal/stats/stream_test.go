@@ -177,3 +177,33 @@ func TestStreamSummaryApproximatesBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamSummaryQuantilesWithinRange pins that a clamped summary never
+// reports a sketch quantile outside the observed [Min, Max]: a sample of
+// identical values must summarize to that value everywhere.
+func TestStreamSummaryQuantilesWithinRange(t *testing.T) {
+	for _, xs := range [][]float64{
+		{2, 2, 2, 2},
+		{2, 2, 2, 3},
+		{7.3},
+		{1, 46, 46, 46, 46},
+	} {
+		st := NewStream()
+		for _, x := range xs {
+			st.Add(x)
+		}
+		got := st.Summary().Clamped()
+		for _, q := range []float64{got.P25, got.Median, got.P75, got.P90} {
+			if q < got.Min || q > got.Max {
+				t.Errorf("%v: quantile %v outside [%v, %v] in %+v", xs, q, got.Min, got.Max, got)
+			}
+		}
+	}
+	st := NewStream()
+	for i := 0; i < 4; i++ {
+		st.Add(2)
+	}
+	if got := st.Summary().Clamped(); got.P25 != 2 || got.Median != 2 || got.P90 != 2 {
+		t.Errorf("constant sample of 2s summarizes to %+v", got)
+	}
+}
